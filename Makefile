@@ -61,8 +61,11 @@ benchdiff:
 		echo "fewer than two BENCH_*.json snapshots; run make bench"; \
 	fi
 
-# Short deterministic fuzz smoke over the RMI wire codec. Each target
-# must run in its own invocation (go test allows one -fuzz at a time).
+# Short fuzz smoke: the RMI wire codec and mux, the shard partitioner,
+# the calendar queue, and the word gate evaluator against its scalar
+# oracle. This is the one fuzz list; ci.sh and the CI workflow call
+# `make fuzz FUZZTIME=...`. Each target must run in its own invocation
+# (go test allows one -fuzz at a time).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
@@ -72,6 +75,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMuxFaultyConn$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzPartitionCircuit$$' -fuzztime=$(FUZZTIME) ./internal/shard/
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueOrdering$$' -fuzztime=$(FUZZTIME) ./internal/sim/
+	$(GO) test -run='^$$' -fuzz='^FuzzEvaluatorVsScalar$$' -fuzztime=$(FUZZTIME) ./internal/gate/
 
 # Deterministic chaos sweep under the race detector: seeded replica
 # fault schedules (kill, partition, slow-drip, flap) across replica

@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI driver: the tier-1 gate (build + tests), the race pass, and a short
-# fuzz smoke of the RMI wire codec. Usage: ./ci.sh [fuzztime]
+# fuzz smoke of every target in `make fuzz`. Usage: ./ci.sh [fuzztime]
 set -eu
 
 FUZZTIME="${1:-15s}"
@@ -32,14 +32,7 @@ echo "==> sharded-execution determinism matrix under -race"
 go test -race -count=1 -run='Shard|Partition|Generate' ./internal/shard/ ./internal/core/
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
-go test -run='^$' -fuzz='^FuzzFrameRoundTrip$' -fuzztime="${FUZZTIME}" ./internal/rmi/
-go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime="${FUZZTIME}" ./internal/rmi/
-go test -run='^$' -fuzz='^FuzzBinaryCodec$' -fuzztime="${FUZZTIME}" ./internal/rmi/
-go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime="${FUZZTIME}" ./internal/rmi/
-go test -run='^$' -fuzz='^FuzzMuxResponses$' -fuzztime="${FUZZTIME}" ./internal/rmi/
-go test -run='^$' -fuzz='^FuzzMuxFaultyConn$' -fuzztime="${FUZZTIME}" ./internal/rmi/
-go test -run='^$' -fuzz='^FuzzPartitionCircuit$' -fuzztime="${FUZZTIME}" ./internal/shard/
-go test -run='^$' -fuzz='^FuzzQueueOrdering$' -fuzztime="${FUZZTIME}" ./internal/sim/
+make fuzz FUZZTIME="${FUZZTIME}"
 
 echo "==> benchmark smoke"
 go test -run='^$' -bench='SchedulerThroughput|VirtualVsSerialFaultSim|Figure4VirtualFaultSim' -benchmem -benchtime=100x .

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/gate"
@@ -44,14 +45,11 @@ func GenerateTestsRand(nl *gate.Netlist, maxCandidates int, r *rand.Rand) (*Test
 		return nil, err
 	}
 	reps := Collapse(nl)
-	golden, err := nl.NewEvaluator()
+	ev, err := nl.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
-	faulty, err := nl.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
+	good := make([]gate.Planes, len(nl.Outputs()))
 	nIn := len(nl.Inputs())
 
 	alive := append([]gate.Fault(nil), reps...)
@@ -66,7 +64,7 @@ func GenerateTestsRand(nl *gate.Netlist, maxCandidates int, r *rand.Rand) (*Test
 				pattern[i] = signal.B1
 			}
 		}
-		detected, err := detectAny(golden, faulty, pattern, alive)
+		detected, err := detectAny(ev, good, pattern, alive)
 		if err != nil {
 			return nil, err
 		}
@@ -90,23 +88,23 @@ func GenerateTestsRand(nl *gate.Netlist, maxCandidates int, r *rand.Rand) (*Test
 	return &TestSet{Patterns: kept, Coverage: res.Coverage(), Candidates: candidates}, nil
 }
 
-// detectAny returns the alive faults the pattern detects.
-func detectAny(golden, faulty *gate.Evaluator, pattern []signal.Bit, alive []gate.Fault) ([]gate.Fault, error) {
-	goodOut, err := golden.Eval(pattern)
-	if err != nil {
+// detectAny returns the alive faults the pattern detects, simulating
+// 64 of them per pass (one per lane) against the broadcast pattern; good
+// is scratch for the fault-free output planes.
+func detectAny(ev *gate.Evaluator, good []gate.Planes, pattern []signal.Bit, alive []gate.Fault) ([]gate.Fault, error) {
+	ev.ClearFaults()
+	if _, err := ev.Eval(pattern); err != nil {
 		return nil, err
 	}
-	good := append([]signal.Bit(nil), goodOut...)
+	for i := range good {
+		good[i] = ev.OutputPlanes(i)
+	}
 	var out []gate.Fault
-	for _, f := range alive {
-		faulty.ClearFaults()
-		faulty.SetFault(f)
-		bad, err := faulty.Eval(pattern)
-		if err != nil {
-			return nil, err
-		}
-		if knownDiff(good, bad) {
-			out = append(out, f)
+	for base := 0; base < len(alive); base += gate.Lanes {
+		chunk := alive[base:min(base+gate.Lanes, len(alive))]
+		evalFaultLanes(ev, pattern, chunk)
+		for hits := knownDiffLanes(ev, good) & laneMask(len(chunk)); hits != 0; hits &= hits - 1 {
+			out = append(out, chunk[bits.TrailingZeros64(hits)])
 		}
 	}
 	return out, nil

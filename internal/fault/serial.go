@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/gate"
 	"repro/internal/signal"
@@ -67,10 +68,14 @@ func SerialSimulateFaults(nl *gate.Netlist, reps []gate.Fault, patterns [][]sign
 }
 
 // SerialSimulateFaultsWorkers runs the flat reference simulation with a
-// bounded worker pool. Within one pattern every live fault's injection is
-// independent (each worker owns a private evaluator), and the verdicts are
-// merged in fault-list order, so the Result is bit-identical for any
-// worker count.
+// bounded worker pool. It is parallel-pattern single-fault propagation:
+// each fault is injected once and simulated against 64 patterns per pass
+// of the word evaluator, in pattern order, until a pass detects it (its
+// first detection is the lowest detecting lane) or the patterns run out.
+// Faults are independent (each worker owns a private evaluator), and the
+// verdicts are merged in fault-list order, so the Result is
+// bit-identical for any worker count — and to the pattern-at-a-time
+// loop with fault dropping.
 func SerialSimulateFaultsWorkers(nl *gate.Netlist, reps []gate.Fault, patterns [][]signal.Bit, workers int) (*Result, error) {
 	res := &Result{
 		Total:      len(reps),
@@ -80,6 +85,34 @@ func SerialSimulateFaultsWorkers(nl *gate.Netlist, reps []gate.Fault, patterns [
 	golden, err := nl.NewEvaluator()
 	if err != nil {
 		return nil, err
+	}
+	// A malformed pattern ends the run; it is reported only if some fault
+	// is still undetected when the run reaches it, as the
+	// pattern-at-a-time loop would.
+	width, nOut := len(nl.Inputs()), len(nl.Outputs())
+	valid := len(patterns)
+	for pi, p := range patterns {
+		if len(p) != width {
+			valid = pi
+			break
+		}
+	}
+	// Pack the patterns 64 per block and simulate each block fault-free.
+	nBlocks := (valid + gate.Lanes - 1) / gate.Lanes
+	in := make([][]gate.Planes, nBlocks)
+	good := make([][]gate.Planes, nBlocks)
+	masks := make([]uint64, nBlocks)
+	for b := range in {
+		block := patterns[b*gate.Lanes : min((b+1)*gate.Lanes, valid)]
+		in[b] = gate.PackLanes(block, width)
+		masks[b] = laneMask(len(block))
+		if err := golden.EvalPlanes(in[b]); err != nil {
+			return nil, err
+		}
+		good[b] = make([]gate.Planes, nOut)
+		for i := range good[b] {
+			good[b][i] = golden.OutputPlanes(i)
+		}
 	}
 	pool := sim.Pool{Workers: workers}
 	// Evaluators are not concurrency-safe, so each worker gets its own;
@@ -93,50 +126,54 @@ func SerialSimulateFaultsWorkers(nl *gate.Netlist, reps []gate.Fault, patterns [
 		}
 		evs[i] = ev
 	}
-	alive := append([]gate.Fault(nil), reps...)
-	verdicts := make([]bool, len(alive))
-	for pi, p := range patterns {
-		goodOut, err := golden.Eval(p)
-		if err != nil {
-			return nil, fmt.Errorf("fault: pattern %d: %w", pi, err)
-		}
-		good := append([]signal.Bit(nil), goodOut...)
-		verdicts = verdicts[:len(alive)]
-		err = pool.ForWorker(len(alive), func(worker, i int) error {
-			faulty := evs[worker]
-			faulty.ClearFaults()
-			faulty.SetFault(alive[i])
-			badOut, err := faulty.Eval(p)
-			if err != nil {
+	first := make([]int, len(reps))
+	err = pool.ForWorker(len(reps), func(worker, i int) error {
+		ev := evs[worker]
+		ev.ClearFaults()
+		ev.SetFault(reps[i])
+		first[i] = -1
+		for b := range in {
+			if err := ev.EvalPlanes(in[b]); err != nil {
 				return err
 			}
-			verdicts[i] = false
-			for j := range good {
-				if good[j].Known() && badOut[j].Known() && good[j] != badOut[j] {
-					verdicts[i] = true
-					break
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Merge in fault-list order — the order the serial loop recorded.
-		var next []gate.Fault
-		for i, f := range alive {
-			if verdicts[i] {
-				sym := f.Symbol(nl)
-				res.Detected[sym] = pi
-				res.PerPattern[pi] = append(res.PerPattern[pi], sym)
-			} else {
-				next = append(next, f)
+			if hits := knownDiffLanes(ev, good[b]) & masks[b]; hits != 0 {
+				first[i] = b*gate.Lanes + bits.TrailingZeros64(hits)
+				return nil
 			}
 		}
-		alive = next
-		if len(alive) == 0 {
-			break
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Merge in fault-list order — the order the pattern-at-a-time loop
+	// recorded detections within one pattern.
+	undetected := false
+	for i, f := range reps {
+		if first[i] < 0 {
+			undetected = true
+			continue
 		}
+		sym := f.Symbol(nl)
+		res.Detected[sym] = first[i]
+		res.PerPattern[first[i]] = append(res.PerPattern[first[i]], sym)
+	}
+	if valid < len(patterns) && (valid == 0 || undetected) {
+		_, err := golden.Eval(patterns[valid])
+		return nil, fmt.Errorf("fault: pattern %d: %w", valid, err)
 	}
 	return res, nil
+}
+
+// knownDiffLanes returns the lanes where some primary output of ev's
+// last evaluation is known and differs from a known value in good.
+//
+//gocad:noalloc
+func knownDiffLanes(ev *gate.Evaluator, good []gate.Planes) uint64 {
+	var diff uint64
+	for i, g := range good {
+		o := ev.OutputPlanes(i)
+		diff |= o.Known1()&g.Known0() | o.Known0()&g.Known1()
+	}
+	return diff
 }

@@ -7,11 +7,7 @@
 // gate-level design modules (internal/module).
 package gate
 
-import (
-	"fmt"
-
-	"repro/internal/signal"
-)
+import "fmt"
 
 // Kind enumerates the primitive gate types.
 type Kind int
@@ -37,44 +33,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// eval computes the gate function over four-valued inputs.
-func (k Kind) eval(in []signal.Bit) signal.Bit {
-	switch k {
-	case Buf:
-		return in[0].Or(in[0]) // normalizes Z to X like any gate input
-	case Not:
-		return in[0].Not()
-	case And, Nand:
-		v := in[0]
-		for _, b := range in[1:] {
-			v = v.And(b)
-		}
-		if k == Nand {
-			v = v.Not()
-		}
-		return v
-	case Or, Nor:
-		v := in[0]
-		for _, b := range in[1:] {
-			v = v.Or(b)
-		}
-		if k == Nor {
-			v = v.Not()
-		}
-		return v
-	case Xor, Xnor:
-		v := in[0]
-		for _, b := range in[1:] {
-			v = v.Xor(b)
-		}
-		if k == Xnor {
-			v = v.Not()
-		}
-		return v
-	}
-	return signal.BX
 }
 
 // minInputs returns the arity constraint for the kind.
@@ -120,6 +78,23 @@ type Netlist struct {
 
 	levels  []int // gate indices in topological order (valid when built)
 	ordered bool
+
+	// The compiled evaluation program (valid when built): one op per
+	// gate in topological order, fan-in ranges into one flat slice, and
+	// the non-PI nets no gate drives (they read X).
+	prog     []op
+	fanin    []int32
+	undriven []int32
+}
+
+// op is one compiled gate: its function, whether the output is
+// inverted (NAND, NOR, XNOR, NOT), its output net, and its fan-in as
+// fanin[lo:hi].
+type op struct {
+	kind   Kind
+	invert bool
+	out    int32
+	lo, hi int32
 }
 
 // NewNetlist returns an empty netlist.
@@ -280,8 +255,34 @@ func (n *Netlist) build() error {
 		return fmt.Errorf("gate: %s: combinational loop detected", n.Name)
 	}
 	n.levels = order
+	n.compile()
 	n.ordered = true
 	return nil
+}
+
+// compile flattens the levelized gates into the evaluation program.
+func (n *Netlist) compile() {
+	n.prog = make([]op, 0, len(n.levels))
+	n.fanin = n.fanin[:0]
+	for _, gi := range n.levels {
+		g := &n.gates[gi]
+		o := op{kind: g.Kind, out: int32(g.Out), lo: int32(len(n.fanin))}
+		switch g.Kind {
+		case Not, Nand, Nor, Xnor:
+			o.invert = true
+		}
+		for _, id := range g.In {
+			n.fanin = append(n.fanin, int32(id))
+		}
+		o.hi = int32(len(n.fanin))
+		n.prog = append(n.prog, o)
+	}
+	n.undriven = n.undriven[:0]
+	for id, ni := range n.nets {
+		if ni.driver == -1 && !ni.isPI {
+			n.undriven = append(n.undriven, int32(id))
+		}
+	}
 }
 
 // Build finalizes the netlist for evaluation. It is idempotent and is

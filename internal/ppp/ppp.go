@@ -83,7 +83,7 @@ type Report struct {
 // safe for concurrent use; create one per goroutine.
 type Simulator struct {
 	nl  *gate.Netlist
-	ev  *gate.Evaluator
+	ev  *gate.Evaluator // built by the first Step
 	lib *Library
 
 	// perNetEnergy caches energy-per-toggle for each net's driving cell,
@@ -104,11 +104,10 @@ func NewSimulator(nl *gate.Netlist, lib *Library) (*Simulator, error) {
 	if lib == nil {
 		lib = DefaultLibrary()
 	}
-	ev, err := nl.NewEvaluator()
-	if err != nil {
+	if err := nl.Build(); err != nil {
 		return nil, fmt.Errorf("ppp: %w", err)
 	}
-	s := &Simulator{nl: nl, ev: ev, lib: lib}
+	s := &Simulator{nl: nl, lib: lib}
 	s.perNetEnergy = make([]float64, nl.NumNets())
 	for _, g := range nl.Gates() {
 		e, ok := lib.EnergyPerToggle[g.Kind]
@@ -129,6 +128,13 @@ func NewSimulator(nl *gate.Netlist, lib *Library) (*Simulator, error) {
 // by the transition from the previous pattern. The first pattern
 // establishes the initial state and dissipates zero energy.
 func (s *Simulator) Step(inputs []signal.Bit) (float64, error) {
+	if s.ev == nil {
+		ev, err := newEvaluator(s.nl)
+		if err != nil {
+			return 0, err
+		}
+		s.ev = ev
+	}
 	if _, err := s.ev.Eval(inputs); err != nil {
 		return 0, err
 	}
@@ -193,7 +199,6 @@ func (s *Simulator) Reset() {
 	s.peak = 0
 	s.series = s.series[:0]
 	s.toggles = 0
-	s.ev.ResetToggles()
 }
 
 // AreaOf returns the total cell area of the netlist in equivalent gates.
@@ -254,13 +259,17 @@ func CriticalPath(nl *gate.Netlist, lib *Library) (float64, error) {
 // per-pattern delay reflects which paths actually switch.
 type TimingSimulator struct {
 	nl    *gate.Netlist
-	ev    *gate.Evaluator
+	ev    *gate.Evaluator // built by the first Step
 	lib   *Library
 	order []int
 	delay []float64 // per-gate cell+load delay
 
 	prev     []signal.Bit
 	havePrev bool
+
+	// per-step scratch, indexed by net (allocated by the second Step)
+	arrival []float64
+	changed []bool
 }
 
 // NewTimingSimulator builds a timing simulator over the netlist.
@@ -268,15 +277,14 @@ func NewTimingSimulator(nl *gate.Netlist, lib *Library) (*TimingSimulator, error
 	if lib == nil {
 		lib = DefaultLibrary()
 	}
-	ev, err := nl.NewEvaluator()
-	if err != nil {
+	if err := nl.Build(); err != nil {
 		return nil, err
 	}
 	order, err := topoOrder(nl)
 	if err != nil {
 		return nil, err
 	}
-	ts := &TimingSimulator{nl: nl, ev: ev, lib: lib, order: order}
+	ts := &TimingSimulator{nl: nl, lib: lib, order: order}
 	ts.delay = make([]float64, nl.NumGates())
 	for gi, g := range nl.Gates() {
 		ts.delay[gi] = lib.Delay[g.Kind] + lib.LoadDelayPerFanout*float64(nl.Fanout(g.Out))
@@ -290,18 +298,26 @@ func NewTimingSimulator(nl *gate.Netlist, lib *Library) (*TimingSimulator, error
 // nothing switched, and for the first pattern, which only establishes
 // state).
 func (t *TimingSimulator) Step(inputs []signal.Bit) (float64, error) {
+	if t.ev == nil {
+		ev, err := newEvaluator(t.nl)
+		if err != nil {
+			return 0, err
+		}
+		t.ev = ev
+	}
 	if _, err := t.ev.Eval(inputs); err != nil {
 		return 0, err
 	}
 	var worst float64
 	if t.havePrev {
-		arrival := make([]float64, t.nl.NumNets())
-		changed := make([]bool, t.nl.NumNets())
-		for id := 0; id < t.nl.NumNets(); id++ {
-			cur := t.ev.Value(gate.NetID(id))
-			if cur != t.prev[id] {
-				changed[id] = true
-			}
+		if t.arrival == nil {
+			t.arrival = make([]float64, t.nl.NumNets())
+			t.changed = make([]bool, t.nl.NumNets())
+		}
+		arrival, changed := t.arrival, t.changed
+		clear(arrival)
+		for id := range changed {
+			changed[id] = t.ev.Value(gate.NetID(id)) != t.prev[id]
 		}
 		gates := t.nl.Gates()
 		for _, gi := range t.order {
@@ -330,6 +346,17 @@ func (t *TimingSimulator) Step(inputs []signal.Bit) (float64, error) {
 	}
 	t.havePrev = true
 	return worst, nil
+}
+
+// newEvaluator builds a simulator's evaluator on its first Step, so a
+// provider instance that never asks for power or timing holds no
+// evaluation state for them.
+func newEvaluator(nl *gate.Netlist) (*gate.Evaluator, error) {
+	ev, err := nl.NewEvaluator()
+	if err != nil {
+		return nil, fmt.Errorf("ppp: %w", err)
+	}
+	return ev, nil
 }
 
 // topoCache memoizes topological orders by netlist pointer identity.
