@@ -7,6 +7,7 @@ package e2e
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"os/exec"
 	"path/filepath"
@@ -156,5 +157,23 @@ func TestServerSurvivesClientChurn(t *testing.T) {
 		if !strings.Contains(out, "session bill:") {
 			t.Errorf("session %d missing bill line:\n%s", i, out)
 		}
+	}
+}
+
+// TestSimRejectsUnknownNetProfile: a mistyped -net name must stop
+// gocad-sim with a non-zero exit and a message naming the profile, not
+// run the simulation with no network emulation.
+func TestSimRejectsUnknownNetProfile(t *testing.T) {
+	_, simBin := buildTools(t)
+	out, err := exec.Command(simBin, "-local", "-net", "mars", "-width", "4", "-patterns", "2").CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() == 0 {
+		t.Fatalf("gocad-sim -net mars: err = %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `"mars"`) {
+		t.Errorf("error output does not name the bad profile:\n%s", out)
+	}
+	if strings.Contains(string(out), "products observed") {
+		t.Errorf("gocad-sim ran the simulation despite the bad profile:\n%s", out)
 	}
 }

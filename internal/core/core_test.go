@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,6 +88,43 @@ func TestScenarioMultiplierRemote(t *testing.T) {
 	}
 	if res.Calls <= er.Calls {
 		t.Errorf("MR calls (%d) not above ER calls (%d)", res.Calls, er.Calls)
+	}
+}
+
+// TestMRFeesBitIdenticalUnderConcurrency: an MR run charges evals on the
+// provider's worker pool and power batches on its ordered lane, so the
+// charges land in a timing-dependent order. The bill must still come out
+// bit-identical (it is part of Result.Fingerprint); concurrent runs of the
+// paper-size design add scheduling noise, and -race adds more.
+// TestSessionFeesOrderIndependent pins the order independence itself.
+func TestMRFeesBitIdenticalUnderConcurrency(t *testing.T) {
+	const runs = 6
+	bits := make([]uint64, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Run(MultiplierRemote, DefaultConfig())
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			bits[i] = math.Float64bits(res.FeesCents)
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if bits[i] != bits[0] {
+			t.Errorf("run %d billed %#x, run 0 billed %#x", i, bits[i], bits[0])
+		}
+	}
+	if bits[0] == 0 {
+		t.Error("MR run billed nothing")
 	}
 }
 

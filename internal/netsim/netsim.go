@@ -14,6 +14,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	mrand "math/rand/v2"
 	"runtime"
@@ -45,18 +46,15 @@ var (
 	WAN = Profile{Name: "WAN", OneWay: 12 * time.Millisecond, PerKB: 400 * time.Microsecond, Jitter: 4 * time.Millisecond}
 )
 
-// ProfileByName returns the profile with the given name, defaulting to
-// InProcess for unknown names.
-func ProfileByName(name string) Profile {
-	switch name {
-	case Local.Name:
-		return Local
-	case LAN.Name:
-		return LAN
-	case WAN.Name:
-		return WAN
+// ProfileByName returns the profile with the given name ("none" selects
+// InProcess). An unknown name is an error, not a silent InProcess run.
+func ProfileByName(name string) (Profile, error) {
+	for _, p := range []Profile{InProcess, Local, LAN, WAN} {
+		if name == p.Name {
+			return p, nil
+		}
 	}
-	return InProcess
+	return Profile{}, fmt.Errorf("netsim: unknown network profile %q (want none, local, LAN or WAN)", name)
 }
 
 // Delay returns the emulated one-way transfer time for a message of the

@@ -48,13 +48,28 @@ func TestRoundTripIsTwoDelays(t *testing.T) {
 }
 
 func TestProfileByName(t *testing.T) {
-	for _, p := range []Profile{Local, LAN, WAN} {
-		if got := ProfileByName(p.Name); got.Name != p.Name {
-			t.Errorf("ProfileByName(%q) = %q", p.Name, got.Name)
-		}
+	cases := []struct {
+		name    string
+		want    Profile
+		wantErr bool
+	}{
+		{"none", InProcess, false},
+		{"local", Local, false},
+		{"LAN", LAN, false},
+		{"WAN", WAN, false},
+		{"mars", Profile{}, true},
+		{"", Profile{}, true},
+		{"wan", Profile{}, true}, // names are case-sensitive
+		{"InProcess", Profile{}, true},
 	}
-	if ProfileByName("mars").Name != InProcess.Name {
-		t.Error("unknown profile not defaulted")
+	for _, c := range cases {
+		got, err := ProfileByName(c.name)
+		if (err != nil) != c.wantErr {
+			t.Errorf("ProfileByName(%q) error = %v, want error %v", c.name, err, c.wantErr)
+		}
+		if got != c.want {
+			t.Errorf("ProfileByName(%q) = %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }
 

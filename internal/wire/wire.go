@@ -119,7 +119,7 @@ func Float64s(b []byte) ([]float64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if n*8 > uint64(len(b)) {
+	if n > uint64(len(b))/8 { // n*8 could overflow
 		return nil, nil, fmt.Errorf("wire: %d floats, %d bytes left: %w", n, len(b), ErrTruncated)
 	}
 	if n == 0 {
@@ -195,13 +195,13 @@ func Bits(b []byte) ([]signal.Bit, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	packed := (n + 3) / 4
-	if packed > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("wire: %d bits need %d bytes, %d left: %w", n, packed, len(b), ErrTruncated)
+	if n > 4*uint64(len(b)) { // (n+3)/4 could overflow
+		return nil, nil, fmt.Errorf("wire: %d bits, %d bytes left: %w", n, len(b), ErrTruncated)
 	}
 	if n == 0 {
 		return nil, b, nil
 	}
+	packed := (n + 3) / 4
 	out := make([]signal.Bit, n)
 	for i := range out {
 		out[i] = signal.Bit((b[i/4] >> uint((i%4)*2)) & 0x3)
