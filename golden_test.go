@@ -93,6 +93,16 @@ func goldenCases() []goldenCase {
 		{"fig4/report", renderFigure4},
 		{"counter6/scan", renderScan},
 	}
+	for _, sc := range []core.Scenario{core.AllLocal, core.EstimatorRemote, core.MultiplierRemote} {
+		for _, cache := range []string{"off", "cold", "warm"} {
+			cases = append(cases, goldenCase{fmt.Sprintf("table2/%s/cache-%s", sc, cache),
+				func(t *testing.T, w *strings.Builder) { renderTable2(t, w, sc, cache) }})
+		}
+	}
+	for _, pct := range goldenFigure3Percents {
+		cases = append(cases, goldenCase{fmt.Sprintf("fig3/buffer-%dpct", pct),
+			func(t *testing.T, w *strings.Builder) { renderFigure3(t, w, pct) }})
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		cases = append(cases,
 			goldenCase{fmt.Sprintf("twoip%d/tables", seed), func(t *testing.T, w *strings.Builder) { renderTwoIPTables(t, w, seed) }},
@@ -278,6 +288,55 @@ func renderFigure4(t *testing.T, w *strings.Builder) {
 		strings.Join(rep.FaultList, ","), rep.Table.ParamString(),
 		strings.Join(rep.Detected1100, ","), strings.Join(rep.Detected1101, ","),
 		strconv.FormatFloat(rep.CoverageAfter2, 'g', -1, 64))
+}
+
+// goldenTable2Config is the Table 2 size of the core package's scenario
+// tests (its smallConfig): 8-bit operands, 20 patterns, buffer 5.
+func goldenTable2Config() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Width = 8
+	cfg.Patterns = 20
+	cfg.BufferSize = 5
+	return cfg
+}
+
+// renderTable2 writes the Result.Fingerprint of one Table 2 scenario
+// with the estimation cache off, cold (fresh) or warm (a second run on
+// the cache the first one filled). The digest is the SHA-256 of the
+// fingerprint alone, so internal/core's parity matrix checks its cells
+// against these entries directly.
+func renderTable2(t *testing.T, w *strings.Builder, sc core.Scenario, cache string) {
+	cfg := goldenTable2Config()
+	if cache != "off" {
+		cfg.Cache = core.NewEstimationCache()
+	}
+	if cache == "warm" {
+		if _, err := core.Run(sc, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := core.Run(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.WriteString(res.Fingerprint())
+}
+
+// goldenFigure3Percents are the buffer sizes TestFigure3MonotoneShape
+// sweeps, on its 8-bit, 40-pattern design.
+var goldenFigure3Percents = []int{5, 25, 100}
+
+// renderFigure3 writes one Figure 3 point: its call count and the
+// fingerprint of its ER-over-WAN run. Wall-clock columns are left out.
+func renderFigure3(t *testing.T, w *strings.Builder, pct int) {
+	cfg := core.DefaultConfig()
+	cfg.Width = 8
+	cfg.Patterns = 40
+	res, err := core.Run(core.EstimatorRemote, core.Figure3Config(cfg, pct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(w, "buffer=%d%% calls=%d %s\n", pct, res.Calls, res.Fingerprint())
 }
 
 func renderScan(t *testing.T, w *strings.Builder) {

@@ -234,6 +234,17 @@ type Figure3Point struct {
 	Calls     int64
 }
 
+// Figure3Config returns the run configuration of one Figure 3 point:
+// cfg over the WAN profile with the provider's power computation
+// skipped and a pattern buffer of pct percent of cfg.Patterns (at least
+// one pattern). RunFigure3 runs EstimatorRemote on it.
+func Figure3Config(cfg Config, pct int) Config {
+	cfg.Profile = netsim.WAN
+	cfg.SkipCompute = true
+	cfg.BufferSize = max(cfg.Patterns*pct/100, 1)
+	return cfg
+}
+
 // RunFigure3 regenerates Figure 3: real and CPU time versus pattern
 // buffer size (as a percentage of the pattern count), on the remote
 // estimator (ER) with the WAN environment and the provider's power
@@ -246,14 +257,7 @@ func RunFigure3(cfg Config, percents []int) ([]Figure3Point, error) {
 	out := make([]Figure3Point, len(percents))
 	err := sim.Pool{Workers: cfg.Workers}.For(len(percents), func(i int) error {
 		pct := percents[i]
-		c := cfg
-		c.Profile = netsim.WAN
-		c.SkipCompute = true
-		c.BufferSize = cfg.Patterns * pct / 100
-		if c.BufferSize < 1 {
-			c.BufferSize = 1
-		}
-		res, err := Run(EstimatorRemote, c)
+		res, err := Run(EstimatorRemote, Figure3Config(cfg, pct))
 		if err != nil {
 			return fmt.Errorf("core: figure3 at %d%%: %w", pct, err)
 		}
