@@ -24,7 +24,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/rmi"
 )
 
 func main() {
@@ -41,13 +40,8 @@ func main() {
 		inflight = flag.Int("inflight", 0, "max pipelined RMI calls in flight (0 = default, 1 = stop-and-wait)")
 		estcache = flag.Bool("est-cache", false, "share a content-addressed estimation cache across runs (quantifies repeat-batch savings)")
 		shards   = flag.Int("shards", 1, "partition each design across N concurrent schedulers (bit-identical results at any N)")
-		codecStr = flag.String("codec", "binary", "RMI wire codec (binary|gob); results are bit-identical under either")
 	)
 	flag.Parse()
-	codec, err := rmi.ParseCodec(*codecStr)
-	if err != nil {
-		fatal(err)
-	}
 	if !(*table1 || *table2 || *figure3 || *figure4 || *all) {
 		flag.Usage()
 		os.Exit(2)
@@ -66,10 +60,10 @@ func main() {
 		runTable1(*width)
 	}
 	if *table2 {
-		runTable2(*width, *patterns, *buffer, *workers, *inflight, *shards, cache, codec)
+		runTable2(*width, *patterns, *buffer, *workers, *inflight, *shards, cache)
 	}
 	if *figure3 {
-		runFigure3(*width, *patterns, *workers, *inflight, cache, codec)
+		runFigure3(*width, *patterns, *workers, *inflight, cache)
 	}
 	if *figure4 {
 		runFigure4(*workers)
@@ -100,7 +94,7 @@ func runTable1(width int) {
 	fmt.Println()
 }
 
-func runTable2(width, patterns, buffer, workers, inflight, shards int, cache *core.EstimationCache, codec rmi.Codec) {
+func runTable2(width, patterns, buffer, workers, inflight, shards int, cache *core.EstimationCache) {
 	cfg := core.DefaultConfig()
 	cfg.Width = width
 	cfg.Patterns = patterns
@@ -109,7 +103,6 @@ func runTable2(width, patterns, buffer, workers, inflight, shards int, cache *co
 	cfg.InFlight = inflight
 	cfg.Shards = shards
 	cfg.Cache = cache
-	cfg.Codec = codec
 	rows, err := core.RunTable2(cfg)
 	if err != nil {
 		fatal(err)
@@ -160,14 +153,13 @@ func scenarioName(r *core.Result) string {
 	return r.Scenario.String()
 }
 
-func runFigure3(width, patterns, workers, inflight int, cache *core.EstimationCache, codec rmi.Codec) {
+func runFigure3(width, patterns, workers, inflight int, cache *core.EstimationCache) {
 	cfg := core.DefaultConfig()
 	cfg.Width = width
 	cfg.Patterns = patterns
 	cfg.Workers = workers
 	cfg.InFlight = inflight
 	cfg.Cache = cache
-	cfg.Codec = codec
 	points, err := core.RunFigure3(cfg, nil)
 	if err != nil {
 		fatal(err)

@@ -32,7 +32,6 @@ import (
 	"repro/internal/ppp"
 	"repro/internal/provider"
 	"repro/internal/replica"
-	"repro/internal/rmi"
 	"repro/internal/sealed"
 	"repro/internal/shard"
 	"repro/internal/signal"
@@ -252,24 +251,6 @@ var (
 	NetLocal     = netsim.Local
 	NetLAN       = netsim.LAN
 	NetWAN       = netsim.WAN
-)
-
-// Wire codecs (DESIGN.md §12). The binary codec is the default; servers
-// auto-detect the codec per connection, so mixed fleets interoperate.
-type (
-	// WireCodec selects a client connection's frame codec.
-	WireCodec = rmi.Codec
-	// CodecPolicy restricts which codecs a server accepts.
-	CodecPolicy = rmi.CodecPolicy
-)
-
-// Wire codec values, parsers, and the connect option.
-var (
-	CodecBinary      = rmi.CodecBinary
-	CodecGob         = rmi.CodecGob
-	ParseCodec       = rmi.ParseCodec
-	ParseCodecPolicy = rmi.ParseCodecPolicy
-	WithCodec        = core.WithCodec
 )
 
 // Replication, failover & quorum (DESIGN.md §10).

@@ -381,8 +381,8 @@ func (g *Gateway) afterCall(sess *rmi.Session, method string, payloadBytes int, 
 
 // Serve accepts connections until the listener closes, bounding total
 // in-flight connections at MaxSessions+AcceptQueue. Overflow is
-// fast-failed: the dialer receives a typed queue-full rejection in its
-// own codec within the handshake timeout. If even the rejection lane
+// fast-failed: the dialer receives a typed queue-full rejection within
+// the handshake timeout. If even the rejection lane
 // is saturated, the connection is closed immediately — the one thing
 // the gateway never does is hang a client silently.
 func (g *Gateway) Serve(ln net.Listener) error {

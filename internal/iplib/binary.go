@@ -13,13 +13,10 @@ import (
 // appends the struct's fields in declaration order using the primitives
 // of internal/wire; each DecodeFrom consumes its input exactly and
 // validates every length prefix — payload bytes come off the network.
-// The setup envelopes matter less for throughput but still pay gob's
-// per-Decoder engine compilation on every call, which dominates the
-// bind path once everything else is hand-coded.
 //
-// These methods implement rmi.BinaryAppender and rmi.BinaryDecoder, so
-// under the binary codec rmi.EncodePayload / rmi.Decode bypass
-// reflection entirely for these types.
+// These methods implement rmi.BinaryAppender and rmi.BinaryDecoder,
+// which every envelope crossing the IP boundary must: they are the only
+// payload encoding rmi speaks.
 
 // AppendTo implements rmi.BinaryAppender.
 //

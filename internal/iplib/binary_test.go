@@ -1,6 +1,8 @@
 package iplib
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -13,8 +15,8 @@ import (
 // decode side fills in, mirroring how rmi dispatches payloads.
 type pair struct {
 	name string
-	in   any // envelope value (rmi.BinaryAppender)
-	out  any // pointer to zero value (rmi.BinaryDecoder)
+	in   rmi.Envelope      // envelope value
+	out  rmi.BinaryDecoder // pointer to zero value
 }
 
 func binaryPairs() []pair {
@@ -72,22 +74,12 @@ func binaryPairs() []pair {
 }
 
 // TestBinaryPayloadRoundTrip proves every hand-written payload codec is
-// the identity through the rmi payload path: EncodePayload under the
-// binary codec must produce a binary-tagged payload, and Decode must
-// reconstruct the envelope exactly.
+// the identity through the rmi payload path: EncodePayload must produce
+// a tagged payload, and Decode must reconstruct the envelope exactly.
 func TestBinaryPayloadRoundTrip(t *testing.T) {
 	for _, p := range binaryPairs() {
 		t.Run(p.name, func(t *testing.T) {
-			if _, ok := p.in.(rmi.BinaryAppender); !ok {
-				t.Fatalf("%T does not implement rmi.BinaryAppender", p.in)
-			}
-			if _, ok := p.out.(rmi.BinaryDecoder); !ok {
-				t.Fatalf("%T does not implement rmi.BinaryDecoder", p.out)
-			}
-			raw, err := rmi.EncodePayload(p.in, rmi.CodecBinary)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := rmi.EncodePayload(p.in)
 			if len(raw) == 0 || raw[0] != 0x00 {
 				t.Fatalf("binary payload not tagged: % x", raw)
 			}
@@ -102,30 +94,24 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryPayloadGobParity proves codec interchangeability at the
-// payload level: the same envelope travels through gob (as on a
-// gob-codec connection) and through the binary codec, and both decodes
-// agree field for field.
+// TestBinaryPayloadGobParity cross-checks every hand-written payload
+// codec against Go's reflective encoding/gob, used here only as an
+// independent reference (gob never reaches the wire): the envelope sent
+// through gob and through its own AppendTo/DecodeFrom must decode to the
+// same value field for field.
 func TestBinaryPayloadGobParity(t *testing.T) {
 	for _, p := range binaryPairs() {
 		t.Run(p.name, func(t *testing.T) {
-			viaGob, err := rmi.EncodePayload(p.in, rmi.CodecGob)
-			if err != nil {
+			var viaGob bytes.Buffer
+			if err := gob.NewEncoder(&viaGob).Encode(p.in); err != nil {
 				t.Fatal(err)
-			}
-			if len(viaGob) > 0 && viaGob[0] == 0x00 {
-				t.Fatalf("gob payload carries the binary tag: % x", viaGob)
 			}
 			gobOut := reflect.New(reflect.TypeOf(p.in))
-			if err := rmi.Decode(viaGob, gobOut.Interface()); err != nil {
-				t.Fatal(err)
-			}
-			viaBin, err := rmi.EncodePayload(p.in, rmi.CodecBinary)
-			if err != nil {
+			if err := gob.NewDecoder(&viaGob).Decode(gobOut.Interface()); err != nil {
 				t.Fatal(err)
 			}
 			binOut := reflect.New(reflect.TypeOf(p.in))
-			if err := rmi.Decode(viaBin, binOut.Interface()); err != nil {
+			if err := rmi.Decode(rmi.EncodePayload(p.in), binOut.Interface().(rmi.BinaryDecoder)); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gobOut.Elem().Interface(), binOut.Elem().Interface()) {
@@ -141,12 +127,8 @@ func TestBinaryPayloadGobParity(t *testing.T) {
 // success on a short buffer.
 func TestBinaryPayloadTruncationErrors(t *testing.T) {
 	for _, p := range binaryPairs() {
-		raw, err := rmi.EncodePayload(p.in, rmi.CodecBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := raw[1:] // strip the codec tag; DecodeFrom sees the body
-		dec := p.out.(rmi.BinaryDecoder)
+		body := rmi.EncodePayload(p.in)[1:] // strip the payload tag; DecodeFrom sees the body
+		dec := p.out
 		for cut := 0; cut < len(body); cut++ {
 			if err := dec.DecodeFrom(body[:cut]); err == nil {
 				// A proper prefix may decode only if the full encoding is
@@ -161,11 +143,8 @@ func TestBinaryPayloadTruncationErrors(t *testing.T) {
 // encoding must be rejected, keeping the encoding canonical.
 func TestBinaryPayloadTrailingBytesError(t *testing.T) {
 	for _, p := range binaryPairs() {
-		raw, err := rmi.EncodePayload(p.in, rmi.CodecBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := p.out.(rmi.BinaryDecoder)
+		raw := rmi.EncodePayload(p.in)
+		dec := p.out
 		if err := dec.DecodeFrom(append(append([]byte(nil), raw[1:]...), 0xEE)); err == nil {
 			t.Errorf("%s: decode with a trailing byte succeeded", p.name)
 		}

@@ -22,12 +22,12 @@ func fakeProvider(t *testing.T) *IPClient {
 	}
 	srv.Authorize("u", key)
 
-	srv.Handle(MethodCatalogue, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodCatalogue, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		return CatalogueResp{Specs: []ComponentSpec{{
 			Name: "Thing", MinWidth: 1, MaxWidth: 8, PublicFactory: "behavioral-mult",
 		}}}, nil
 	})
-	srv.Handle(MethodBind, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodBind, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		var req BindReq
 		if err := rmi.Decode(p, &req); err != nil {
 			return nil, err
@@ -35,7 +35,7 @@ func fakeProvider(t *testing.T) *IPClient {
 		return BindResp{Instance: 7, LicenseCents: 3,
 			Enabled: []EstimatorOffer{{Name: "e", Param: "power.avg", Remote: true}}}, nil
 	})
-	srv.Handle(MethodEval, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodEval, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		var req EvalReq
 		if err := rmi.Decode(p, &req); err != nil {
 			return nil, err
@@ -46,7 +46,7 @@ func fakeProvider(t *testing.T) *IPClient {
 		}
 		return EvalResp{Outputs: out}, nil
 	})
-	srv.Handle(MethodPowerBatch, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodPowerBatch, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		var req PowerBatchReq
 		if err := rmi.Decode(p, &req); err != nil {
 			return nil, err
@@ -60,13 +60,13 @@ func fakeProvider(t *testing.T) *IPClient {
 		}
 		return PowerBatchResp{PowerPerPattern: vals, FeeCents: 1}, nil
 	})
-	srv.Handle(MethodStatic, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodStatic, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		return StaticResp{Value: 123}, nil
 	})
-	srv.Handle(MethodFaultList, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodFaultList, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		return FaultListResp{Names: []string{"f0sa0"}}, nil
 	})
-	srv.Handle(MethodFaultTable, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodFaultTable, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		return FaultTableResp{Table: fault.DetectionTable{
 			Input:     signal.WordFromUint64(1, 2),
 			FaultFree: signal.WordFromUint64(0, 1),
@@ -75,13 +75,13 @@ func fakeProvider(t *testing.T) *IPClient {
 			},
 		}}, nil
 	})
-	srv.Handle(MethodTestSet, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodTestSet, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		return TestSetResp{
 			Patterns: [][]signal.Bit{{signal.B1, signal.B0}},
 			Coverage: 0.5, FeeCents: 2,
 		}, nil
 	})
-	srv.Handle(MethodNegotiate, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodNegotiate, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		var req NegotiateReq
 		if err := rmi.Decode(p, &req); err != nil {
 			return nil, err
@@ -95,7 +95,7 @@ func fakeProvider(t *testing.T) *IPClient {
 		}
 		return resp, nil
 	})
-	srv.Handle(MethodFees, func(s *rmi.Session, p []byte) (any, error) {
+	srv.Handle(MethodFees, func(s *rmi.Session, p []byte) (rmi.Envelope, error) {
 		return FeesResp{TotalCents: s.Fees()}, nil
 	})
 

@@ -33,7 +33,7 @@ func Idempotent(method string) bool {
 // journalEntry is one replayable call of the session journal.
 type journalEntry struct {
 	method string
-	args   rmi.PortData
+	args   rmi.Envelope
 	// boundID is, for bind entries, the instance handle the original
 	// call returned; the replayed bind must reproduce it exactly for
 	// outstanding BoundInstance stubs to stay valid.
@@ -54,7 +54,7 @@ type sessionJournal struct {
 // record observes one successful call (it runs under the RPC connection
 // lock, so append order is wire order) and journals it if it affects
 // session state.
-func (j *sessionJournal) record(method string, args rmi.PortData, reply any) {
+func (j *sessionJournal) record(method string, args rmi.Envelope, reply rmi.BinaryDecoder) {
 	var e journalEntry
 	switch method {
 	case MethodBind:
@@ -79,7 +79,7 @@ func (j *sessionJournal) record(method string, args rmi.PortData, reply any) {
 // original IDs; replaying batches re-drives the simulators through the
 // same pattern history. Any failure aborts the replay — the transport
 // layer treats it as a failed reconnect and backs off.
-func (j *sessionJournal) replay(do func(method string, args rmi.PortData, reply any) error) error {
+func (j *sessionJournal) replay(do func(method string, args rmi.Envelope, reply rmi.BinaryDecoder) error) error {
 	j.mu.Lock()
 	entries := append([]journalEntry(nil), j.entries...)
 	j.mu.Unlock()

@@ -55,7 +55,7 @@ func TestJournalReplayPreservesOrderAndVerifiesBindIDs(t *testing.T) {
 
 	var order []string
 	nextInstance := uint64(0)
-	err := j.replay(func(method string, args rmi.PortData, reply any) error {
+	err := j.replay(func(method string, args rmi.Envelope, reply rmi.BinaryDecoder) error {
 		order = append(order, method)
 		if r, ok := reply.(*BindResp); ok {
 			// A fresh session hands out instance IDs from 1 again, so an
@@ -81,7 +81,7 @@ func TestJournalReplayPreservesOrderAndVerifiesBindIDs(t *testing.T) {
 	// A replayed bind returning a different handle must abort the replay:
 	// outstanding BoundInstance stubs would silently point at the wrong
 	// provider-side instance.
-	err = j.replay(func(method string, args rmi.PortData, reply any) error {
+	err = j.replay(func(method string, args rmi.Envelope, reply rmi.BinaryDecoder) error {
 		if r, ok := reply.(*BindResp); ok {
 			r.Instance = 99
 		}
@@ -93,7 +93,7 @@ func TestJournalReplayPreservesOrderAndVerifiesBindIDs(t *testing.T) {
 
 	// A failing call aborts too.
 	boom := errors.New("boom")
-	err = j.replay(func(method string, args rmi.PortData, reply any) error { return boom })
+	err = j.replay(func(method string, args rmi.Envelope, reply rmi.BinaryDecoder) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("replay err = %v, want the call error", err)
 	}

@@ -6,7 +6,7 @@
 //
 // The analyzers under internal/lint/* machine-enforce the kernel
 // invariants the paper's guarantees rest on — bit-identical replay,
-// worker-count determinism, pooled-token lifetime, history release, and
+// worker-count determinism, arena-token lifetime, history release, and
 // RMI latency/error discipline — so they survive refactors instead of
 // living in comments. cmd/gocad-lint is the multichecker binary CI runs.
 package lint

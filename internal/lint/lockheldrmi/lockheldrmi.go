@@ -11,7 +11,7 @@
 // perform the handshake) and all of internal/iplib, whose typed stubs
 // are documented as thin envelopes around internal/rmi — each method is
 // a round trip. internal/rmi's server-side types (Session, Server) and
-// the Encode/Decode helpers are local and exempt.
+// the EncodePayload/Decode helpers are local and exempt.
 //
 // The analysis is lexical within one function: Lock/RLock marks the
 // mutex held, Unlock/RUnlock releases it, and a deferred unlock keeps it

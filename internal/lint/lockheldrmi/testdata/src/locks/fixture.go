@@ -66,8 +66,8 @@ func serverSideOK(sess *rmi.Session, mu *sync.Mutex) {
 	sess.Charge(1)
 }
 
-func encodeOK(mu *sync.Mutex, v any) ([]byte, error) {
+func encodeOK(mu *sync.Mutex, v rmi.BinaryAppender) []byte {
 	mu.Lock()
 	defer mu.Unlock()
-	return rmi.Encode(v)
+	return rmi.EncodePayload(v)
 }

@@ -138,7 +138,7 @@ func New(name string) *Provider {
 }
 
 // handleTestSet generates and sells a compacted component test sequence.
-func (p *Provider) handleTestSet(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleTestSet(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.TestSetReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -167,7 +167,7 @@ func (p *Provider) handleTestSet(sess *rmi.Session, payload []byte) (any, error)
 
 // handleNegotiate answers a negotiation round: for each constraint, the
 // most accurate offered estimator that satisfies the client's bounds.
-func (p *Provider) handleNegotiate(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleNegotiate(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.NegotiateReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -238,7 +238,7 @@ func (p *Provider) Listen(addr string) (string, error) { return p.Server.Listen(
 // Close stops the server.
 func (p *Provider) Close() error { return p.Server.Close() }
 
-func (p *Provider) handleCatalogue(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleCatalogue(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	resp := iplib.CatalogueResp{}
@@ -266,7 +266,7 @@ func instKey(id uint64) string {
 	return "inst:" + strconv.FormatUint(id, 10)
 }
 
-func (p *Provider) handleBind(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleBind(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.BindReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -395,7 +395,7 @@ func getInstance(sess *rmi.Session, id uint64) (*instance, error) {
 	return v.(*instance), nil
 }
 
-func (p *Provider) handleEval(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleEval(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.EvalReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -414,7 +414,7 @@ func (p *Provider) handleEval(sess *rmi.Session, payload []byte) (any, error) {
 	return iplib.EvalResp{Outputs: append([]signal.Bit(nil), out...)}, nil
 }
 
-func (p *Provider) handlePowerBatch(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handlePowerBatch(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.PowerBatchReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -443,7 +443,7 @@ func (p *Provider) handlePowerBatch(sess *rmi.Session, payload []byte) (any, err
 	return iplib.PowerBatchResp{PowerPerPattern: out, FeeCents: fee}, nil
 }
 
-func (p *Provider) handleTimingBatch(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleTimingBatch(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.TimingBatchReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -467,7 +467,7 @@ func (p *Provider) handleTimingBatch(sess *rmi.Session, payload []byte) (any, er
 	return iplib.TimingBatchResp{DelayPerPattern: out, FeeCents: fee}, nil
 }
 
-func (p *Provider) handleStatic(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleStatic(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.StaticReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -491,7 +491,7 @@ func (p *Provider) handleStatic(sess *rmi.Session, payload []byte) (any, error) 
 	return nil, fmt.Errorf("provider: unknown static parameter %q", req.Param)
 }
 
-func (p *Provider) handleFaultList(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleFaultList(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.FaultListReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -510,7 +510,7 @@ func (p *Provider) handleFaultList(sess *rmi.Session, payload []byte) (any, erro
 	return iplib.FaultListResp{Names: names}, nil
 }
 
-func (p *Provider) handleFaultTable(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleFaultTable(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	var req iplib.FaultTableReq
 	if err := rmi.Decode(payload, &req); err != nil {
 		return nil, err
@@ -532,6 +532,6 @@ func (p *Provider) handleFaultTable(sess *rmi.Session, payload []byte) (any, err
 	return iplib.FaultTableResp{Table: *dt}, nil
 }
 
-func (p *Provider) handleFees(sess *rmi.Session, payload []byte) (any, error) {
+func (p *Provider) handleFees(sess *rmi.Session, payload []byte) (rmi.Envelope, error) {
 	return iplib.FeesResp{TotalCents: sess.Fees()}, nil
 }

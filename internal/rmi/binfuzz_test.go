@@ -110,8 +110,8 @@ func FuzzBinaryDecode(f *testing.F) {
 		if !reflect.DeepEqual(fr, again) {
 			t.Fatalf("decode/encode/decode not a fixpoint:\n first: %#v\nsecond: %#v", fr, again)
 		}
-		// The payload dispatcher must be equally robust against the raw
-		// input (binary-tagged or gob alike).
+		// The payload decoder must be equally robust against the raw
+		// input, tagged or not.
 		var env echoReq
 		_ = Decode(data, &env)
 	})

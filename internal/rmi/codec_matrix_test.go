@@ -2,26 +2,22 @@ package rmi
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"net"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
 
-// This file is the codec-parameterized poisoning matrix: every
-// protocol-level fault that must poison the mux epoch — wrong frame
-// kind, unknown response ID, mid-frame truncation — runs under both the
-// binary and the gob codec, and the client must heal through journal
-// replay identically. The matrix reuses the rogue-server scripts from
-// resilience_test.go, which sniff the codec per connection.
+// This file is the poisoning matrix: every protocol-level fault that must
+// poison the mux epoch — wrong frame kind, unknown response ID,
+// mid-frame truncation — runs against the rogue-server scripts of
+// resilience_test.go, and the client must heal through journal replay.
 
 // rogueWrongKind answers the first request with a correctly-correlated
 // ID but a nonsense frame kind — a confused peer rather than a
 // desynchronized stream. The mux must poison the epoch anyway.
-func rogueWrongKind(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic.Int32) {
+func rogueWrongKind(conn net.Conn, fw *binFrameWriter, fr *binFrameReader, requests *atomic.Int32) {
 	var req frame
 	if fr.readFrame(&req) != nil {
 		return
@@ -34,68 +30,54 @@ func rogueWrongKind(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *a
 // valid response frame's raw bytes, and slams the connection shut. The
 // client's reader sees a short read inside a frame; the epoch must
 // poison and heal exactly as for a whole-frame loss.
-func rogueTruncateMidFrame(codec Codec) rogueBehavior {
-	return func(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic.Int32) {
-		var req frame
-		if fr.readFrame(&req) != nil {
-			return
-		}
-		requests.Add(1)
-		resp := frame{Kind: kindResponse, ID: req.ID, Payload: []byte("half-delivered response body")}
-		var raw []byte
-		if codec == CodecGob {
-			var buf bytes.Buffer
-			if gob.NewEncoder(&buf).Encode(&resp) != nil {
-				return
-			}
-			raw = buf.Bytes()
-		} else {
-			var err error
-			if raw, err = appendFrame(nil, &resp); err != nil {
-				return
-			}
-		}
-		conn.Write(raw[:len(raw)/2])
-		conn.Close()
+func rogueTruncateMidFrame(conn net.Conn, fw *binFrameWriter, fr *binFrameReader, requests *atomic.Int32) {
+	var req frame
+	if fr.readFrame(&req) != nil {
+		return
 	}
+	requests.Add(1)
+	raw, err := appendFrame(nil, &frame{Kind: kindResponse, ID: req.ID, Payload: []byte("half-delivered response body")})
+	if err != nil {
+		return
+	}
+	conn.Write(raw[:len(raw)/2])
+	conn.Close()
 }
 
-// TestMuxPoisonMatrix runs the poison-and-heal contract across
-// codec × fault. With retry armed, the faulted call must succeed on a
-// fresh epoch (connection 2 of the rogue server echoes correctly), the
-// client must record exactly one reconnect, and follow-up calls must
-// stay aligned — no cross-call data, no stale frames surfacing later.
+// TestMuxPoisonMatrix runs the poison-and-heal contract for every
+// fault. With retry armed, the faulted call must succeed on a fresh
+// epoch (connection 2 of the rogue server echoes correctly), the client
+// must record exactly one reconnect, and follow-up calls must stay
+// aligned — no cross-call data, no stale frames surfacing later.
 func TestMuxPoisonMatrix(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		faults := []struct {
-			name   string
-			behave rogueBehavior
-		}{
-			{"wrong-kind", rogueWrongKind},
-			{"unknown-id", rogueStaleID},
-			{"mid-frame-truncation", rogueTruncateMidFrame(codec)},
-		}
-		for _, fault := range faults {
-			t.Run(fmt.Sprintf("%s/%s", codec, fault.name), func(t *testing.T) {
-				r := startRogue(t, fault.behave)
-				cli := rogueClientCodec(t, r, codec)
-				cli.Retry = fastRetry
-				if err := cli.Call("m", echoReq{Note: "poison"}, nil); err != nil {
-					t.Fatalf("%v under %v not healed: %v", fault.name, codec, err)
+	faults := []struct {
+		name   string
+		behave rogueBehavior
+	}{
+		{"wrong-kind", rogueWrongKind},
+		{"unknown-id", rogueStaleID},
+		{"mid-frame-truncation", rogueTruncateMidFrame},
+	}
+	for _, fault := range faults {
+		t.Run(fmt.Sprintf("binary/%s", fault.name), func(t *testing.T) {
+			r := startRogue(t, fault.behave)
+			cli := rogueClient(t, r)
+			cli.Retry = fastRetry
+			if err := cli.Call("m", echoReq{Note: "poison"}, nil); err != nil {
+				t.Fatalf("%v not healed: %v", fault.name, err)
+			}
+			if got := cli.Reconnects(); got != 1 {
+				t.Errorf("reconnects = %d, want 1 (fault must poison the epoch exactly once)", got)
+			}
+			if cli.Dead() {
+				t.Error("healed client declared dead")
+			}
+			for i := 0; i < 5; i++ {
+				if err := cli.Call("m", echoReq{}, nil); err != nil {
+					t.Fatalf("post-heal call %d: %v", i, err)
 				}
-				if got := cli.Reconnects(); got != 1 {
-					t.Errorf("reconnects = %d, want 1 (fault must poison the epoch exactly once)", got)
-				}
-				if cli.Dead() {
-					t.Error("healed client declared dead")
-				}
-				for i := 0; i < 5; i++ {
-					if err := cli.Call("m", echoReq{}, nil); err != nil {
-						t.Fatalf("post-heal call %d under %v: %v", i, codec, err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -104,31 +86,29 @@ func TestMuxPoisonMatrix(t *testing.T) {
 // error (never a hang, never another call's data), and the next call
 // must run on a fresh epoch rather than reuse the poisoned stream.
 func TestMuxPoisonSurfacesWithoutRetry(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		faults := []struct {
-			name    string
-			behave  rogueBehavior
-			errWant string
-		}{
-			{"wrong-kind", rogueWrongKind, "desynchronized"},
-			{"unknown-id", rogueStaleID, "desynchronized"},
-			{"mid-frame-truncation", rogueTruncateMidFrame(codec), "receive"},
-		}
-		for _, fault := range faults {
-			t.Run(fmt.Sprintf("%s/%s", codec, fault.name), func(t *testing.T) {
-				r := startRogue(t, fault.behave)
-				cli := rogueClientCodec(t, r, codec)
-				cli.Retry = RetryPolicy{}
-				err := cli.Call("m", echoReq{}, nil)
-				if err == nil || !strings.Contains(err.Error(), fault.errWant) {
-					t.Fatalf("err = %v, want %q fault surfaced", err, fault.errWant)
-				}
-				cli.Retry = fastRetry
-				if err := cli.Call("m", echoReq{}, nil); err != nil {
-					t.Fatalf("follow-up call on fresh epoch: %v", err)
-				}
-			})
-		}
+	faults := []struct {
+		name    string
+		behave  rogueBehavior
+		errWant string
+	}{
+		{"wrong-kind", rogueWrongKind, "desynchronized"},
+		{"unknown-id", rogueStaleID, "desynchronized"},
+		{"mid-frame-truncation", rogueTruncateMidFrame, "receive"},
+	}
+	for _, fault := range faults {
+		t.Run(fmt.Sprintf("binary/%s", fault.name), func(t *testing.T) {
+			r := startRogue(t, fault.behave)
+			cli := rogueClient(t, r)
+			cli.Retry = RetryPolicy{}
+			err := cli.Call("m", echoReq{}, nil)
+			if err == nil || !strings.Contains(err.Error(), fault.errWant) {
+				t.Fatalf("err = %v, want %q fault surfaced", err, fault.errWant)
+			}
+			cli.Retry = fastRetry
+			if err := cli.Call("m", echoReq{}, nil); err != nil {
+				t.Fatalf("follow-up call on fresh epoch: %v", err)
+			}
+		})
 	}
 }
 
@@ -147,42 +127,6 @@ func parityFrames() []frame {
 		{Kind: kindResponse, ID: 8, Err: "remote: boom\x00trailer — ünïcode"},
 		{Kind: kindResponse},
 		{Kind: kindRequest, ID: 2, Session: "s-1", Method: "eval", Payload: []byte{}},
-	}
-}
-
-// TestFrameCodecParity proves the two framings are semantically
-// interchangeable: every sample frame encoded through the binary writer
-// and through gob decodes to identical field values. This is the
-// migration guarantee — a frame's meaning does not depend on which
-// codec carried it.
-func TestFrameCodecParity(t *testing.T) {
-	for i, f := range parityFrames() {
-		f := f
-		t.Run(fmt.Sprintf("frame-%d", i), func(t *testing.T) {
-			raw, err := appendFrame(nil, &f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			br := &binFrameReader{r: bytes.NewReader(raw)}
-			var viaBin frame
-			if err := br.readFrame(&viaBin); err != nil {
-				t.Fatalf("binary decode: %v", err)
-			}
-
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
-				t.Fatal(err)
-			}
-			g := &gobFrameCodec{dec: gob.NewDecoder(&buf)}
-			var viaGob frame
-			if err := g.readFrame(&viaGob); err != nil {
-				t.Fatalf("gob decode: %v", err)
-			}
-
-			if !reflect.DeepEqual(viaBin, viaGob) {
-				t.Errorf("codecs disagree:\nbin: %#v\ngob: %#v", viaBin, viaGob)
-			}
-		})
 	}
 }
 

@@ -24,14 +24,14 @@ func newDrainPair(t *testing.T, workers int, entered chan struct{}, hold time.Du
 		t.Fatal(err)
 	}
 	srv.Authorize("user", key)
-	srv.Handle("echo", func(sess *Session, payload []byte) (any, error) {
+	srv.Handle("echo", func(sess *Session, payload []byte) (Envelope, error) {
 		var req echoReq
 		if err := Decode(payload, &req); err != nil {
 			return nil, err
 		}
 		return echoResp{Bits: req.Bits}, nil
 	})
-	srv.HandleOrdered("slow", func(sess *Session, payload []byte) (any, error) {
+	srv.HandleOrdered("slow", func(sess *Session, payload []byte) (Envelope, error) {
 		select {
 		case entered <- struct{}{}:
 		default:

@@ -1,8 +1,6 @@
 package rmi
 
 import (
-	"bytes"
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -18,76 +16,10 @@ func fuzzSeedFrames() []frame {
 		{Kind: kindHello, Client: "user", Nonce: []byte{1, 2, 3, 4}, Tag: "aabbcc"},
 		{Kind: kindWelcome, Session: "sess-1"},
 		{Kind: kindRequest, ID: 7, Session: "sess-1", Method: "power.batch", Payload: []byte{0x42, 0x00, 0xff}},
-		{Kind: kindResponse, ID: 7, Payload: []byte("gob-bytes")},
+		{Kind: kindResponse, ID: 7, Payload: []byte("response-bytes")},
 		{Kind: kindResponse, ID: 9, Err: "unknown method"},
 		{}, // all-zero frame
 	}
-}
-
-// FuzzFrameRoundTrip asserts the wire envelope survives encode/decode for
-// arbitrary field contents: whatever goes out must come back identical.
-func FuzzFrameRoundTrip(f *testing.F) {
-	for _, fr := range fuzzSeedFrames() {
-		f.Add(fr.Kind, fr.ID, fr.Session, fr.Method, fr.Payload, fr.Err, fr.Client, fr.Nonce, fr.Tag)
-	}
-	f.Fuzz(func(t *testing.T, kind uint8, id uint64, session, method string, payload []byte, errStr, client string, nonce []byte, tag string) {
-		in := frame{Kind: kind, ID: id, Session: session, Method: method,
-			Payload: payload, Err: errStr, Client: client, Nonce: nonce, Tag: tag}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		var out frame
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode of own encoding failed: %v", err)
-		}
-		if out.Kind != in.Kind || out.ID != in.ID || out.Session != in.Session ||
-			out.Method != in.Method || out.Err != in.Err || out.Client != in.Client || out.Tag != in.Tag {
-			t.Fatalf("round trip mutated scalar fields: %+v -> %+v", in, out)
-		}
-		// gob decodes empty slices to nil; compare contents.
-		if !bytes.Equal(out.Payload, in.Payload) || !bytes.Equal(out.Nonce, in.Nonce) {
-			t.Fatalf("round trip mutated byte fields: %+v -> %+v", in, out)
-		}
-	})
-}
-
-// FuzzDecode feeds arbitrary bytes to the frame decoder — the path a
-// malicious or corrupted peer reaches first. It must reject garbage with
-// an error, never panic or loop.
-func FuzzDecode(f *testing.F) {
-	// Well-formed frames of each kind as seeds, so mutation explores near
-	// the valid encoding.
-	for _, fr := range fuzzSeedFrames() {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&fr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	// A malformed type tag: a valid frame encoding with its gob type id
-	// byte corrupted.
-	{
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&frame{Kind: kindRequest, ID: 1, Method: "eval"}); err != nil {
-			f.Fatal(err)
-		}
-		raw := buf.Bytes()
-		if len(raw) > 1 {
-			raw[1] ^= 0x7f
-		}
-		f.Add(raw)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var fr frame
-		// Errors are expected for garbage; panics and hangs are the bugs.
-		_ = gob.NewDecoder(bytes.NewReader(data)).Decode(&fr)
-		// The payload helper must be equally robust.
-		var env echoReq
-		_ = Decode(data, &env)
-	})
 }
 
 // FuzzMuxFaultyConn drives the pipelined transport over a connection
@@ -111,10 +43,7 @@ func FuzzMuxFaultyConn(f *testing.F) {
 		srvConn, cliConn := net.Pipe()
 		go func() {
 			defer srvConn.Close()
-			fw, fr, err := sniffTestCodec(srvConn)
-			if err != nil {
-				return
-			}
+			fw, fr := testFrameCodec(srvConn)
 			var hello frame
 			if fr.readFrame(&hello) != nil {
 				return
@@ -131,10 +60,8 @@ func FuzzMuxFaultyConn(f *testing.F) {
 				resp := frame{Kind: kindResponse, ID: req.ID}
 				if err := Decode(req.Payload, &body); err != nil {
 					resp.Err = err.Error()
-				} else if p, err := Encode(echoResp{Bits: body.Bits}); err != nil {
-					resp.Err = err.Error()
 				} else {
-					resp.Payload = p
+					resp.Payload = EncodePayload(echoResp{Bits: body.Bits})
 				}
 				if fw.writeFrame(&resp) != nil {
 					return
@@ -193,10 +120,7 @@ func FuzzMuxResponses(f *testing.F) {
 		srvConn, cliConn := net.Pipe()
 		go func() {
 			defer srvConn.Close()
-			fw, fr, err := sniffTestCodec(srvConn)
-			if err != nil {
-				return
-			}
+			fw, fr := testFrameCodec(srvConn)
 			var hello frame
 			if fr.readFrame(&hello) != nil {
 				return

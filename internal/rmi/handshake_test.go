@@ -1,6 +1,9 @@
 package rmi
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -46,8 +49,8 @@ func TestHandshakeDeadlineStalledDialer(t *testing.T) {
 }
 
 // TestHandshakeDeadlinePartialHello stalls one byte into the protocol
-// (enough to select a codec, not enough to form a hello frame): the
-// deadline must still cut the connection loose.
+// (the first byte of a frame header, not enough to form a hello frame):
+// the deadline must still cut the connection loose.
 func TestHandshakeDeadlinePartialHello(t *testing.T) {
 	leakcheck.Check(t)
 	srv := NewServer("prov")
@@ -72,6 +75,66 @@ func TestHandshakeDeadlinePartialHello(t *testing.T) {
 		t.Fatal("server answered a half-handshake")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("server kept a stalled half-handshake open past the deadline")
+	}
+}
+
+// TestHandshakeGobHelloDropped: a peer speaking the retired gob framing
+// is not a wire-format-v1 peer. Its hello must be refused at once with a
+// logged magic error — well inside the handshake deadline, not by
+// waiting it out — and no session may open.
+func TestHandshakeGobHelloDropped(t *testing.T) {
+	leakcheck.Check(t)
+	const deadline = 5 * time.Second
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	srv := NewServer("prov")
+	srv.HandshakeTimeout = deadline
+	srv.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	key, _ := security.NewKey()
+	srv.Authorize("user", key)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	nonce := []byte("0123456789abcdef")
+	hello := frame{Kind: kindHello, Client: "user", Nonce: nonce, Tag: key.Tag(append(nonce, "user"...))}
+	var gobHello bytes.Buffer
+	if err := gob.NewEncoder(&gobHello).Encode(&hello); err != nil {
+		t.Fatal(err)
+	}
+	// One write: the server hangs up after the header, so a second write
+	// could meet a reset.
+	if _, err := conn.Write(gobHello.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_ = conn.SetReadDeadline(time.Now().Add(2 * deadline))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server answered a gob hello")
+	}
+	if took := time.Since(start); took >= deadline/2 {
+		t.Fatalf("gob hello dropped after %v; the server waited for the %v handshake deadline", took, deadline)
+	}
+	if n := len(srv.Sessions()); n != 0 {
+		t.Errorf("%d session(s) opened for a gob peer", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logs) != 1 || !strings.Contains(logs[0], "bad frame magic") {
+		t.Errorf("logs = %q, want one bad-frame-magic line", logs)
 	}
 }
 

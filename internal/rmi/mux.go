@@ -23,15 +23,16 @@ type pendingCall struct {
 	seq    uint64 // wire-order sequence (send-queue position) for the recorder gate
 	method string
 	frame  frame    // request frame, embedded so a call costs one allocation
-	args   PortData // retained for the Recorder hook
-	reply  any
+	args   Envelope // retained for the Recorder hook
+	reply  BinaryDecoder
 
 	timer *time.Timer // per-call deadline; fires into mux.fail
 
 	// sent/recvd are the call's wire byte volumes. They are written by the
-	// writer and reader pumps respectively and read by the caller after
-	// done closes; atomics give the cross-goroutine edge the race detector
-	// wants without sharing the mux lock.
+	// writer and reader pumps respectively — the writer before its write,
+	// the reader before it completes the call — and read by the caller
+	// after done closes; atomics give the cross-goroutine edge the race
+	// detector wants without sharing the mux lock.
 	sent, recvd atomic.Int64
 
 	err  error
@@ -51,8 +52,8 @@ type pendingCall struct {
 type mux struct {
 	c       *Client
 	conn    *countingConn
-	fw      frameEncoder
-	fr      frameDecoder
+	fw      *binFrameWriter
+	fr      *binFrameReader
 	session string
 
 	mu       sync.Mutex
@@ -74,7 +75,7 @@ type mux struct {
 // newMux wraps a freshly handshaken connection. The pumps are not
 // started: reconnect runs the session replay serially on the bare
 // frame codec first (see Client.reconnectLocked), then calls start.
-func newMux(c *Client, conn *countingConn, fw frameEncoder, fr frameDecoder, session string) *mux {
+func newMux(c *Client, conn *countingConn, fw *binFrameWriter, fr *binFrameReader, session string) *mux {
 	m := &mux{
 		c:       c,
 		conn:    conn,
@@ -137,7 +138,7 @@ func (m *mux) release() {
 // position is the call's wire order; the recorder gate releases journal
 // records in exactly this order even when responses complete out of
 // order.
-func (m *mux) enqueue(method string, args PortData, payload []byte, reply any) (*pendingCall, error) {
+func (m *mux) enqueue(method string, args Envelope, payload []byte, reply BinaryDecoder) (*pendingCall, error) {
 	pc := &pendingCall{
 		method: method,
 		args:   args,
@@ -189,12 +190,17 @@ func (m *mux) writer() {
 		m.queue = m.queue[1:]
 		m.mu.Unlock()
 
-		w0 := m.conn.written
-		if err := m.fw.writeFrame(&pc.frame); err != nil {
+		b, err := m.fw.encode(&pc.frame)
+		if err == nil {
+			// Stored before the write: the response, and with it the
+			// caller reading sent, may follow the write at once.
+			pc.sent.Store(int64(len(b)))
+			_, err = m.fw.w.Write(b)
+		}
+		if err != nil {
 			m.fail(fmt.Errorf("rmi: send %s: %w", pc.method, err))
 			return
 		}
-		pc.sent.Store(m.conn.written - w0)
 	}
 }
 
@@ -205,9 +211,9 @@ func (m *mux) writer() {
 // confused peer): the epoch is poisoned so no caller can be handed
 // another call's data.
 func (m *mux) reader() {
-	// One response frame for the life of the pump: both codecs reset it
-	// on read, and complete() consumes it synchronously before the next
-	// readFrame can overwrite it.
+	// One response frame for the life of the pump: readFrame resets it,
+	// and complete() consumes it synchronously before the next readFrame
+	// can overwrite it.
 	var resp frame
 	for {
 		r0 := m.conn.read
@@ -307,13 +313,9 @@ func (m *mux) fail(err error) error {
 // connection, before the pumps have started — the restricted surface
 // session replay uses. No emulation, metering, or recording applies:
 // recovery overhead is not part of the workload's traffic accounting.
-func (m *mux) directCall(method string, args PortData, reply any) error {
-	payload, err := EncodePayload(args, m.c.codec)
-	if err != nil {
-		return err
-	}
+func (m *mux) directCall(method string, args Envelope, reply BinaryDecoder) error {
 	id := m.c.nextCallID()
-	req := frame{Kind: kindRequest, ID: id, Session: m.session, Method: method, Payload: payload}
+	req := frame{Kind: kindRequest, ID: id, Session: m.session, Method: method, Payload: EncodePayload(args)}
 	if m.c.Timeout > 0 {
 		_ = m.conn.SetDeadline(time.Now().Add(m.c.Timeout))
 	}

@@ -21,7 +21,7 @@ func newPipelinePair(t *testing.T, workers int, hold time.Duration) *Client {
 	t.Helper()
 	_, cli := newTestPair(t, func(srv *Server) {
 		srv.SessionWorkers = workers
-		srv.Handle("hold", func(sess *Session, payload []byte) (any, error) {
+		srv.Handle("hold", func(sess *Session, payload []byte) (Envelope, error) {
 			var req echoReq
 			if err := Decode(payload, &req); err != nil {
 				return nil, err
@@ -87,7 +87,7 @@ func TestPipelinedCallsAtDepths(t *testing.T) {
 func TestPipelineCorrelatesOutOfOrderResponses(t *testing.T) {
 	_, cli := newTestPair(t, func(srv *Server) {
 		srv.SessionWorkers = 4
-		srv.Handle("vardelay", func(sess *Session, payload []byte) (any, error) {
+		srv.Handle("vardelay", func(sess *Session, payload []byte) (Envelope, error) {
 			var req echoReq
 			if err := Decode(payload, &req); err != nil {
 				return nil, err
@@ -125,7 +125,7 @@ func TestPipelineCorrelatesOutOfOrderResponses(t *testing.T) {
 // rogueStaleMidPipeline reads three pipelined requests, answers the
 // first correctly, then desynchronizes the stream with a bogus response
 // ID while two calls are still in flight.
-func rogueStaleMidPipeline(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic.Int32) {
+func rogueStaleMidPipeline(conn net.Conn, fw *binFrameWriter, fr *binFrameReader, requests *atomic.Int32) {
 	var reqs []frame
 	for i := 0; i < 3; i++ {
 		var req frame
@@ -230,7 +230,7 @@ func TestCloseInterruptsBackoff(t *testing.T) {
 	srv := NewServer("prov")
 	key := testKey(t)
 	srv.Authorize("user", key)
-	srv.Handle("echo", func(sess *Session, payload []byte) (any, error) {
+	srv.Handle("echo", func(sess *Session, payload []byte) (Envelope, error) {
 		return echoResp{}, nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -285,45 +285,51 @@ func TestCloseInterruptsBackoff(t *testing.T) {
 
 // TestDepthOneMatchesStopAndWaitBytes pins wire compatibility: the
 // pipelined transport at depth 1 must meter exactly the same call and
-// byte counts as a fresh serial exchange of the same payloads. The
-// assertion is codec-relative — each codec is compared against itself
-// at both depths, never against the other codec's frame sizes — and
-// then the binary framing must come in strictly leaner than gob for
-// the same traffic.
+// byte counts as at depth 8 for the same serial traffic, and those bytes
+// must be exactly the wire-format-v1 request and response frames — no
+// framing overhead unaccounted for, none double-counted.
 func TestDepthOneMatchesStopAndWaitBytes(t *testing.T) {
 	wide := make([]signal.Bit, 1024)
 	for i := range wide {
 		wide[i] = signal.Bit(i % 4)
 	}
-	run := func(codec Codec, depth int, bits []signal.Bit) (int64, int64) {
+	const calls = 5
+	run := func(depth int, bits []signal.Bit) (int64, int64, string) {
 		var meter netsim.Meter
-		_, cli := newTestPairCodec(t, codec, nil)
+		_, cli := newTestPair(t, nil)
 		cli.Meter = &meter
 		cli.MaxInFlight = depth
-		for i := 0; i < 5; i++ {
+		for i := 0; i < calls; i++ {
 			var resp echoResp
 			if err := cli.Call("echo", echoReq{Bits: bits, Note: "x"}, &resp); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return meter.Calls(), meter.Bytes()
+		return meter.Calls(), meter.Bytes(), cli.Session()
 	}
-	perCodec := map[Codec]int64{}
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		c1, b1 := run(codec, 1, []signal.Bit{signal.B1, signal.B0})
-		cN, bN := run(codec, 8, []signal.Bit{signal.B1, signal.B0})
+	for _, bits := range [][]signal.Bit{{signal.B1, signal.B0}, wide} {
+		c1, b1, session := run(1, bits)
+		cN, bN, _ := run(8, bits)
 		if c1 != cN || b1 != bN {
-			t.Errorf("%v: depth 1 metered calls=%d bytes=%d, depth 8 calls=%d bytes=%d; wire accounting diverged",
-				codec, c1, b1, cN, bN)
+			t.Errorf("%d-bit calls: depth 1 metered calls=%d bytes=%d, depth 8 calls=%d bytes=%d; wire accounting diverged",
+				len(bits), c1, b1, cN, bN)
 		}
-		_, perCodec[codec] = run(codec, 1, wide)
-	}
-	// At pattern widths that matter (the Table 2 batch payloads), the
-	// packed binary encoding must beat gob's byte-per-bit slices. Tiny
-	// payloads may tip the other way — gob amortizes type descriptors —
-	// so the leanness claim is pinned at width, not at the minimum.
-	if perCodec[CodecBinary] >= perCodec[CodecGob] {
-		t.Errorf("binary framing metered %d bytes, gob %d on 1024-bit patterns; binary must be leaner",
-			perCodec[CodecBinary], perCodec[CodecGob])
+		var want int64
+		for i := 1; i <= calls; i++ {
+			req, err := appendFrame(nil, &frame{Kind: kindRequest, ID: uint64(i), Session: session, Method: "echo",
+				Payload: EncodePayload(echoReq{Bits: bits, Note: "x"})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := appendFrame(nil, &frame{Kind: kindResponse, ID: uint64(i),
+				Payload: EncodePayload(echoResp{Bits: bits, Calls: i})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += int64(len(req) + len(resp))
+		}
+		if b1 != want {
+			t.Errorf("%d-bit calls: metered %d bytes, the frames are %d bytes", len(bits), b1, want)
+		}
 	}
 }

@@ -16,33 +16,26 @@ func benchEnvelope(n int) echoReq {
 	return echoReq{Bits: bits, Note: "bench"}
 }
 
-// BenchmarkEncode measures the wire encoder's allocation profile across
-// payload sizes. The scratch bytes.Buffer is pooled, so allocs/op must
-// stay flat as the payload grows: only the returned exact-size slice and
-// gob's own per-encoder state remain, amortizing the buffer's backing
-// array growth to zero across calls.
+// BenchmarkEncode measures the payload encoder across payload sizes,
+// appending into one reused buffer the way the server's pooled response
+// frames do: allocs/op must be zero at every size.
 func BenchmarkEncode(b *testing.B) {
 	for _, n := range []int{1, 16, 256} {
 		env := benchEnvelope(n)
 		b.Run(fmt.Sprintf("patterns=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var buf []byte
 			for i := 0; i < b.N; i++ {
-				if _, err := Encode(env); err != nil {
-					b.Fatal(err)
-				}
+				buf = appendPayload(buf[:0], env)
 			}
 		})
 	}
 }
 
-// BenchmarkDecode measures the decode path, whose bytes.Reader scratch is
-// pooled the same way.
+// BenchmarkDecode measures the payload decode path.
 func BenchmarkDecode(b *testing.B) {
 	for _, n := range []int{1, 16, 256} {
-		raw, err := Encode(benchEnvelope(n))
-		if err != nil {
-			b.Fatal(err)
-		}
+		raw := EncodePayload(benchEnvelope(n))
 		b.Run(fmt.Sprintf("patterns=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -55,44 +48,17 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// TestEncodeScratchAmortized pins the pooling win without benchmark
-// flakiness: the scratch buffer is pooled, so the encode path's
-// allocation count must be FLAT in payload size — growing a payload
-// 256-fold adds zero allocations per call. (The fixed per-call overhead
-// is gob encoder state plus the returned exact-size slice; unpooled, the
-// grown buffer chain would add allocs at every size step.)
+// TestEncodeScratchAmortized pins the encode path's scratch reuse
+// without benchmark flakiness: appending a payload into a buffer that
+// already holds one allocates nothing, whatever the payload size — the
+// buffer's backing array is grown once and then reused, as the server's
+// pooled response frames reuse theirs.
 func TestEncodeScratchAmortized(t *testing.T) {
-	// A GC between warm-up and measurement can empty the scratch pool,
-	// charging a pool-miss allocation to whichever measurement it lands
-	// in. Noise only ever ADDS allocations, so the minimum of a few
-	// rounds is the steady-state count.
-	measure := func(env echoReq) float64 {
-		best := -1.0
-		for round := 0; round < 3; round++ {
-			for i := 0; i < 8; i++ { // warm the pool
-				if _, err := Encode(env); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := testing.AllocsPerRun(100, func() {
-				if _, err := Encode(env); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if best < 0 || got < best {
-				best = got
-			}
+	for _, n := range []int{1, 256} { // 256 patterns ≈ 16 KiB of pattern bits
+		env := benchEnvelope(n)
+		buf := appendPayload(nil, env)
+		if got := testing.AllocsPerRun(100, func() { buf = appendPayload(buf[:0], env) }); got != 0 {
+			t.Errorf("%d patterns: %.1f allocs per encode into a reused buffer, want 0", n, got)
 		}
-		return best
-	}
-	small := measure(benchEnvelope(1))
-	large := measure(benchEnvelope(256)) // ≈ 16 KiB of pattern bits
-	// Under the race detector sync.Pool.Put randomly drops ~1 in 4 items,
-	// so a handful of the 100 measured encodes miss the pool and pay a
-	// regrow. Allow that noise: the unpooled growth ladder to 16 KiB is
-	// ~8 doublings, so a slack of 2 still distinguishes pooled from not.
-	const slack = 2
-	if large > small+slack {
-		t.Errorf("Encode allocs grew with payload: %.1f at 1 pattern, %.1f at 256; scratch buffer not amortized", small, large)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/signal"
 )
 
-// TestArenaSignalTokenDelivery mirrors the pooled-token contract for
-// arena tokens: acquired fields deliver intact, and free-list recycling
-// across many events never cross-contaminates deliveries.
+// TestArenaSignalTokenDelivery checks the arena-token contract:
+// acquired fields deliver intact, and free-list recycling across many
+// events never cross-contaminates deliveries.
 func TestArenaSignalTokenDelivery(t *testing.T) {
 	h := &recordingHandler{}
 	s := NewScheduler()
@@ -168,8 +168,7 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkArenaTokenDelivery measures the steady-state delivery cycle
-// under the slab arena; the companion pooled benchmark covers the legacy
-// global pool. Run with -benchmem: the arena row must report 0 allocs/op.
+// under the slab arena. Run with -benchmem: it must report 0 allocs/op.
 func BenchmarkArenaTokenDelivery(b *testing.B) {
 	s := NewScheduler()
 	s.ReserveTokens(16)
@@ -185,28 +184,6 @@ func BenchmarkArenaTokenDelivery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.left = 8
 		ctx.Post(ctx.AcquireSignal(s.Now()+1, h, 0, signal.BitValue{}, "seed"))
-		if err := s.Run(ctx, RunOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPooledTokenDelivery is the legacy global-pool baseline for
-// the arena benchmark above.
-func BenchmarkPooledTokenDelivery(b *testing.B) {
-	s := NewScheduler()
-	ctx := s.NewContext()
-	h := &recordingHandler{}
-	s.Post(AcquireSignalToken(1, h, 0, signal.BitValue{}, "seed"))
-	if err := s.Run(ctx, RunOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ports = h.ports[:0]
-		h.values = h.values[:0]
-		s.Post(AcquireSignalToken(s.Now()+1, h, 0, signal.BitValue{}, "seed"))
 		if err := s.Run(ctx, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
